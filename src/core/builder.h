@@ -84,7 +84,7 @@ inline ExprPtr TupMake(ExprPtr x) {
   return Make(OpKind::kTupMake, {std::move(x)});
 }
 /// TUP with an explicit field name instead of the default "_1"; the EXCESS
-/// translator uses this to build environment tuples and named targets.
+/// translator uses this to build named targets and tuple literals.
 inline ExprPtr TupMakeNamed(std::string field, ExprPtr x) {
   return Make(OpKind::kTupMake, {std::move(x)}, nullptr, nullptr, nullptr,
               std::move(field));

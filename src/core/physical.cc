@@ -157,12 +157,11 @@ ExprPtr Adopt(const RewriteRule& rule, const LowerCtx& lctx,
 }
 
 /// Matches SET_APPLY[χ(COMP_θ(opnd))](Var(S)) where χ is a (possibly
-/// empty) chain of TUP_EXTRACT/DEREF steps, opnd is a pure extraction path
-/// — optionally wrapped in the translator's one-field environment tuple
-/// TUP<f>(path) — and θ's ∧-spine holds an atom comparing another
-/// extraction path (over the operand result) against a hoistable probe,
-/// covered by an index on S over the concatenated path. Returns the
-/// cheapest replacement that beats the scan's estimate, or null: the bare
+/// empty) chain of TUP_EXTRACT/DEREF steps, opnd is a pure extraction path,
+/// and θ's ∧-spine holds an atom comparing another extraction path (over
+/// the operand result) against a hoistable probe, covered by an index on S
+/// over the concatenated path. Returns the cheapest replacement that beats
+/// the scan's estimate, or null: the bare
 /// IDX_PROBE when χ is empty, else SET_APPLY[χ'(INPUT)](IDX_PROBE) — χ
 /// maps the dropped dne and retained unk occurrences exactly as the fused
 /// logical subscript did (extraction steps send unk to unk, dne to dne).
@@ -186,20 +185,11 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
   std::vector<const SecondaryIndex*> indexes = lctx.db->IndexesOn(set_name);
   if (indexes.empty()) return nullptr;
 
-  // The operand feeds θ its INPUT. A translated range variable arrives as
-  // the environment tuple TUP<f>(path): key extraction then starts with
-  // TUP_EXTRACT<f>, which cancels against the construction.
+  // The operand feeds θ its INPUT.
   const ExprPtr& opnd = sub->child(0);
-  ExprPtr path_base = opnd;
-  std::string env_field;
-  if (opnd->kind() == OpKind::kTupMake && opnd->num_children() == 1 &&
-      !opnd->name().empty()) {
-    env_field = opnd->name();
-    path_base = opnd->child(0);
-  }
   std::vector<std::string> opnd_path;
-  if (!ExtractionPath(path_base, &opnd_path)) return nullptr;
-  const bool opnd_derefs_last = EndsInDeref(path_base);
+  if (!ExtractionPath(opnd, &opnd_path)) return nullptr;
+  const bool opnd_derefs_last = EndsInDeref(opnd);
 
   auto base_est = lctx.cost->Estimate(e);
   if (!base_est.ok()) return nullptr;
@@ -243,12 +233,6 @@ ExprPtr TryIndexProbe(const ExprPtr& e, const LowerCtx& lctx) {
       std::vector<std::string> atom_path;
       if (!ExtractionPath(f.path_side, &atom_path)) continue;
       if (EndsInDeref(f.path_side)) continue;
-      if (!env_field.empty()) {
-        // The leading extraction must address the constructed field; what
-        // remains navigates the wrapped path's result.
-        if (atom_path.empty() || atom_path[0] != env_field) continue;
-        atom_path.erase(atom_path.begin());
-      }
       // A trailing deref in the operand is only reachable when the atom
       // navigates on into the dereferenced object.
       if (opnd_derefs_last && atom_path.empty()) continue;

@@ -34,8 +34,7 @@ ExprPtr LowerPhysical(const ExprPtr& plan);
 ///
 ///  - lower-index-probe: SET_APPLY[χ(COMP_θ(opnd))](Var(S)) — χ a possibly
 ///    empty TUP_EXTRACT/DEREF suffix (rule-15 fusion wraps the projection
-///    around the COMP in translated plans), opnd a pure extraction path,
-///    optionally inside the translator's TUP<f>(...) environment tuple —
+///    around the COMP in translated plans), opnd a pure extraction path —
 ///    where θ's ∧-spine holds an atom comparing a pure extraction path
 ///    over INPUT against a closed, side-effect-free probe, and an index on
 ///    S covers the operand+atom path (hash for =/in, ordered for

@@ -40,7 +40,10 @@ Result<std::vector<PlanChoice>> Planner::Enumerate(const ExprPtr& query) {
   // seeded with BOTH the heuristic fixpoint and the original tree: some
   // rewrites (e.g. rule 10 feeding rule 26) only match shapes the
   // always-beneficial phase already collapsed, so restricting the search
-  // to the fixpoint would make parts of the plan space unreachable.
+  // to the fixpoint would make parts of the plan space unreachable. The
+  // original tree is a candidate itself, ahead of its neighbors: on a cost
+  // tie it wins over a mere reordering such as tupcat-commute, which would
+  // change the field order of stored results.
   if (options_.search_budget > 0) {
     Rewriter all(db_, RuleSet::All());
     // Memo on (hash, deep equality).
@@ -63,7 +66,10 @@ Result<std::vector<PlanChoice>> Planner::Enumerate(const ExprPtr& query) {
     frontier.push(choices.front());
     if (mark_seen(query)) {
       auto raw_est = cost.Estimate(query);
-      if (raw_est.ok()) frontier.push({query, *raw_est});
+      if (raw_est.ok()) {
+        choices.push_back({query, *raw_est});
+        frontier.push(choices.back());
+      }
     }
 
     double best_total = choices.front().estimate.total;

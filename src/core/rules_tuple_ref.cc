@@ -101,10 +101,10 @@ void RegisterTupleRefRules(RuleSet* directed, RuleSet* exploratory) {
          }
          return alg::Project(e->names(), inner->child(0));
        }});
-  // TUP_EXTRACT_f(TUP_f(x)) = x — collapses the environment-tuple plumbing
-  // the EXCESS translator generates (TUP is the named unary constructor).
-  // Only fires when the names match: extracting a missing field is a
-  // runtime error the rewrite must preserve.
+  // TUP_EXTRACT_f(TUP_f(x)) = x — removes the construct-then-extract pairs
+  // that rule-15 fusion of a tuple-building subscript leaves (TUP is the
+  // named unary constructor). Only fires when the names match: extracting
+  // a missing field is a runtime error the rewrite must preserve.
   directed->Add(
       {0, "extract-from-tupmake",
        true,

@@ -233,11 +233,11 @@ Result<Translator::Typed> Translator::TranslateAgg(const ExprAstPtr& e,
                  result_schema(ElemOf(coll.schema))};
   }
 
-  // Correlated sub-iteration: start the inner environment pipeline from
-  // the *current* environment tuple so outer variables stay visible.
+  // Correlated sub-iteration: start the inner environments from the
+  // *current* environment so outer variables stay visible.
   Scope inner = scope;
   ExprPtr envs;
-  if (scope.has_env) {
+  if (!scope.env.empty()) {
     envs = alg::SetMake(alg::Input());
   }
   for (const auto& [v, coll] : e->agg_from) {
@@ -404,11 +404,8 @@ Result<Translator::Typed> Translator::TranslateExpr(const ExprAstPtr& e,
       return Typed{alg::BoolLit(e->bool_value), BoolSchema()};
 
     case ExprAst::Kind::kName: {
-      if (scope.this_is_raw && e->text == "this") {
-        return Typed{alg::Input(), scope.raw_this_schema};
-      }
       if (const Binding* b = scope.Lookup(e->text); b != nullptr) {
-        return Typed{alg::TupExtract(b->field, alg::Input()), b->schema};
+        return Typed{b->path, b->schema};
       }
       int pi = scope.ParamIndex(e->text);
       if (pi >= 0) return Typed{alg::Param(pi), AnySchema()};
@@ -616,18 +613,6 @@ Result<PredicatePtr> Translator::TranslateBool(const ExprAstPtr& e,
 Result<ExprPtr> Translator::BindVar(Scope* scope, ExprPtr envs,
                                     const std::string& var,
                                     const ExprAstPtr& coll_ast) const {
-  // Shadowing (aggregate-scoped variables reusing an outer name) gets a
-  // fresh field name in the environment tuple; lookups resolve innermost.
-  std::string field = var;
-  int shadow = 2;
-  auto field_taken = [&](const std::string& f) {
-    for (const auto& b : scope->env) {
-      if (b.field == f) return true;
-    }
-    return false;
-  };
-  while (field_taken(field)) field = StrCat(var, "$", shadow++);
-
   EXA_ASSIGN_OR_RETURN(Typed coll, TranslateExpr(coll_ast, *scope));
   if (!coll.schema->is_set() && !IsAnySchema(coll.schema)) {
     return Status::TypeError(StrCat("'", var, "' must range over a multiset; ",
@@ -635,22 +620,27 @@ Result<ExprPtr> Translator::BindVar(Scope* scope, ExprPtr envs,
                                     coll.schema->ToString()));
   }
   SchemaPtr elem = ElemOf(coll.schema);
-  ExprPtr out;
   if (envs == nullptr) {
-    // First variable with no prior environment: envs = {(v: x) | x ∈ coll}.
-    out = alg::SetApply(alg::TupMakeNamed(field, alg::Input()), coll.expr);
-  } else {
-    // For each environment tuple env: pair it with every element of
-    // coll(env) via × and extend the tuple — then flatten the per-env sets.
-    ExprPtr extend = alg::SetApply(
-        alg::TupCat(alg::TupExtract("_1", alg::Input()),
-                    alg::TupMakeNamed(field,
-                                      alg::TupExtract("_2", alg::Input()))),
-        alg::Cross(alg::SetMake(alg::Input()), coll.expr));
-    out = alg::SetCollapse(alg::SetApply(std::move(extend), std::move(envs)));
+    // First variable with no prior environment: the element is the
+    // environment.
+    scope->env.push_back({var, alg::Input(), std::move(elem)});
+    return coll.expr;
   }
-  scope->env.push_back({var, std::move(field), std::move(elem)});
-  scope->has_env = true;
+  // Pair every environment env with every element of coll(env): an
+  // INPUT-free range is one plain CROSS (so a filter over it can become a
+  // join); a correlated one is crossed per environment and flattened.
+  ExprPtr out =
+      analysis::ContainsFreeInput(coll.expr)
+          ? alg::SetCollapse(alg::SetApply(
+                alg::Cross(alg::SetMake(alg::Input()), coll.expr),
+                std::move(envs)))
+          : alg::Cross(std::move(envs), coll.expr);
+  ExprPtr first = alg::TupExtract("_1", alg::Input());
+  for (Binding& b : scope->env) {
+    b.path = analysis::SubstituteInput(b.path, first);
+  }
+  scope->env.push_back(
+      {var, alg::TupExtract("_2", alg::Input()), std::move(elem)});
   return out;
 }
 
@@ -669,26 +659,18 @@ Result<ExprPtr> Translator::TranslateMethodBody(
   // `this`. Bodies that iterate (`from K in this.kids ...`) go through the
   // full environment pipeline and return the multiset the retrieve
   // denotes.
+  Scope scope;
+  scope.params = params;
+  scope.env.push_back({"this", alg::Input(), this_schema});
   if (stmt.from.empty() && stmt.where == nullptr && stmt.by.empty() &&
       stmt.targets.size() == 1 && stmt.targets[0].first.empty() &&
       !stmt.unique) {
-    Scope scope;
-    scope.params = params;
-    scope.this_is_raw = true;
-    scope.raw_this_schema = this_schema;
     EXA_ASSIGN_OR_RETURN(Typed t,
                          TranslateExpr(stmt.targets[0].second, scope));
     return t.expr;
   }
-  Scope scope;
-  scope.params = params;
-  scope.env.push_back({"this", "this", this_schema});
-  scope.has_env = true;
-  ExprPtr initial = alg::SetMake(alg::TupMakeNamed("this", alg::Input()));
-  EXA_ASSIGN_OR_RETURN(ExprPtr tree,
-                       TranslateCore(stmt, {}, std::move(scope),
-                                     std::move(initial)));
-  return tree;
+  return TranslateCore(stmt, {}, std::move(scope),
+                       alg::SetMake(alg::Input()));
 }
 
 Result<ExprPtr> Translator::TranslateClosedExpr(const ExprAstPtr& e) const {
@@ -706,17 +688,13 @@ Result<ExprPtr> Translator::TranslateDeletePlan(const std::string& target,
                set_schema->ToString()));
   }
   Scope scope;
-  scope.env.push_back({target, target, set_schema->elem()});
-  scope.has_env = true;
+  scope.env.push_back({target, alg::Input(), set_schema->elem()});
   EXA_ASSIGN_OR_RETURN(PredicatePtr p, TranslateBool(pred, scope));
   // matching = { x | x ∈ target, pred(x) }; result = target − matching.
   // Subtracting (rather than keeping ¬pred) retains unknown-predicate
   // occurrences unchanged.
-  ExprPtr envs = alg::SetApply(alg::TupMakeNamed(target, alg::Input()),
-                               alg::Var(target));
-  ExprPtr matching = alg::SetApply(
-      alg::TupExtract(target, alg::Input()),
-      alg::SetApply(alg::Comp(std::move(p), alg::Input()), std::move(envs)));
+  ExprPtr matching =
+      alg::SetApply(alg::Comp(std::move(p), alg::Input()), alg::Var(target));
   return alg::Diff(alg::Var(target), std::move(matching));
 }
 
@@ -765,7 +743,7 @@ Result<ExprPtr> Translator::TranslateCore(
     iters.emplace_back(root, std::move(name_ast));
   }
 
-  // ---- 3. Build the environment pipeline. ---------------------------------
+  // ---- 3. Build the environments. ------------------------------------------
   ExprPtr envs = std::move(initial_env);
   for (const auto& [v, coll] : iters) {
     EXA_ASSIGN_OR_RETURN(envs, BindVar(&scope, std::move(envs), v, coll));

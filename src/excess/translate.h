@@ -17,9 +17,12 @@ namespace excess {
 /// theorem). The algorithm follows the proof sketch: all iteration sources
 /// (explicit `range of` declarations actually used, `from` clauses, and
 /// implicit ranges over named multisets accessed through paths) are
-/// combined into a pipeline of environment tuples via SET_APPLY / CROSS /
-/// SET_COLLAPSE; the `where` clause becomes a COMP; the target list a
-/// projection; `by` a GRP; `unique` a DE.
+/// combined into one multiset of environments: the first variable's range
+/// as is, each later one paired on by CROSS (or, when its range depends on
+/// earlier variables, by a per-environment CROSS flattened with
+/// SET_COLLAPSE). Each variable is read by an access path of `_1`/`_2`
+/// extractions into the nested pair. The `where` clause becomes a COMP; the
+/// target list a projection; `by` a GRP; `unique` a DE.
 ///
 /// Reference-typed values are dereferenced lazily at field access, so a
 /// query returning range variables over `{ ref T }` returns the
@@ -65,25 +68,20 @@ class Translator {
     ExprPtr expr;
     SchemaPtr schema;
   };
-  /// Variables visible to expressions: environment-tuple fields (range and
-  /// from variables plus `this`), and method parameters.
+  /// Variables visible to expressions: range and from variables plus
+  /// `this`, each read from the environment (INPUT) by an access path, and
+  /// method parameters.
   struct Binding {
-    std::string var;    // surface name
-    std::string field;  // env-tuple field (differs when shadowing)
+    std::string var;  // surface name
+    ExprPtr path;     // the variable's value as an expression over INPUT
     SchemaPtr schema;
   };
   struct Scope {
     // Env bindings in binding order; an aggregate's `from` variable may
-    // shadow an outer variable of the same name (it gets a fresh field
-    // name in the environment tuple). Lookups resolve to the *latest*
-    // binding.
+    // shadow an outer variable of the same name. Lookups resolve to the
+    // *latest* binding.
     std::vector<Binding> env;
     std::vector<std::string> params;
-    bool has_env = false;
-    // Method bodies without iteration: `this` IS the raw INPUT value (no
-    // environment tuple), so the body evaluates to the target directly.
-    bool this_is_raw = false;
-    SchemaPtr raw_this_schema;
 
     const Binding* Lookup(const std::string& name) const {
       for (auto it = env.rbegin(); it != env.rend(); ++it) {

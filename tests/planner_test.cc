@@ -5,6 +5,7 @@
 #include "core/builder.h"
 #include "core/cost.h"
 #include "core/eval.h"
+#include "excess/session.h"
 #include "university/university.h"
 
 namespace excess {
@@ -140,6 +141,121 @@ TEST_F(PlannerTest, ZeroBudgetSkipsSearchPhase) {
   auto plan = planner.Optimize(Var("Employees"));
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ((*plan)->kind(), OpKind::kVar);
+}
+
+
+// --- translated plan shapes ---------------------------------------------------
+// Range variables translate into a plain CROSS of their ranges, so a `where`
+// equality between two variables sits directly on the product and lowers to
+// HASH_JOIN (§5 Example 1 starts from exactly this select over S × E).
+
+class TranslatedPlanTest : public PlannerTest {
+ protected:
+  void SetUp() override {
+    PlannerTest::SetUp();
+    methods_ = std::make_unique<MethodRegistry>(&db_.catalog());
+    session_ = std::make_unique<Session>(&db_, methods_.get());
+    ASSERT_TRUE(session_
+                    ->Execute("range of S is Students, E is Employees, "
+                              "D is Departments")
+                    .ok());
+  }
+  ExprPtr Translate(const std::string& q) {
+    auto r = session_->Translate(q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString() << "\nquery: " << q;
+    return r.ok() ? *r : nullptr;
+  }
+  /// The optimized, lowered plan; checks it answers like the raw tree.
+  ExprPtr Optimize(const ExprPtr& raw) {
+    auto plan = Planner(&db_).Optimize(raw);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return nullptr;
+    EXPECT_TRUE(Eval(raw)->Equals(*Eval(*plan))) << (*plan)->ToString();
+    return *plan;
+  }
+  /// First node of `kind` in a pre-order walk over children and subscripts.
+  static ExprPtr Find(const ExprPtr& e, OpKind kind) {
+    if (e == nullptr) return nullptr;
+    if (e->kind() == kind) return e;
+    for (const auto& c : e->children()) {
+      if (ExprPtr hit = Find(c, kind)) return hit;
+    }
+    return Find(e->sub(), kind);
+  }
+  std::unique_ptr<MethodRegistry> methods_;
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(TranslatedPlanTest, EqualityJoinsLowerToHashJoin) {
+  for (const char* q : {
+           // bench_optimizer `join-two-vars` and the first wire read_join
+           // template.
+           "retrieve (S.name, E.name) where S.advisor = E and "
+           "E.salary >= 100000",
+           // The second read_join template: grouped, deduplicated, keyed
+           // on a path through the ref.
+           "retrieve unique (S.dept.name, E.name) by S.dept "
+           "where S.advisor.name = E.name and S.gpa >= 3.0",
+       }) {
+    ExprPtr plan = Optimize(Translate(q));
+    ASSERT_NE(plan, nullptr) << q;
+    EXPECT_NE(Find(plan, OpKind::kHashJoin), nullptr)
+        << q << "\n" << plan->ToString();
+  }
+}
+
+TEST_F(TranslatedPlanTest, UncorrelatedVariablesTranslateToNestedCross) {
+  ExprPtr raw = Translate(
+      "retrieve (S.name, E.name, D.name) where S.advisor = E and "
+      "E.dept = D");
+  ASSERT_NE(raw, nullptr);
+  // SET_APPLY[target](SET_APPLY[COMP](CROSS(CROSS(S, E), D))).
+  ASSERT_EQ(raw->kind(), OpKind::kSetApply);
+  const ExprPtr& filter = raw->child(0);
+  ASSERT_EQ(filter->kind(), OpKind::kSetApply);
+  EXPECT_EQ(filter->sub()->kind(), OpKind::kComp);
+  const ExprPtr& outer = filter->child(0);
+  ASSERT_EQ(outer->kind(), OpKind::kCross) << raw->ToString();
+  ASSERT_EQ(outer->child(0)->kind(), OpKind::kCross) << raw->ToString();
+  EXPECT_TRUE(outer->child(0)->child(0)->Equals(Var("Students")));
+  EXPECT_TRUE(outer->child(0)->child(1)->Equals(Var("Employees")));
+  EXPECT_TRUE(outer->child(1)->Equals(Var("Departments")));
+  ExprPtr plan = Optimize(raw);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_NE(Find(plan, OpKind::kHashJoin), nullptr) << plan->ToString();
+}
+
+TEST_F(TranslatedPlanTest, CorrelatedRangeKeepsTheDependentProduct) {
+  ExprPtr raw = Translate("retrieve (C.name) from C in E.kids");
+  ASSERT_NE(raw, nullptr);
+  // SET_APPLY[target](SET_COLLAPSE(SET_APPLY[CROSS(SET(INPUT),
+  // E.kids)](Employees))): E.kids differs per employee.
+  ASSERT_EQ(raw->kind(), OpKind::kSetApply);
+  const ExprPtr& collapse = raw->child(0);
+  ASSERT_EQ(collapse->kind(), OpKind::kSetCollapse) << raw->ToString();
+  const ExprPtr& per_env = collapse->child(0);
+  ASSERT_EQ(per_env->kind(), OpKind::kSetApply);
+  EXPECT_TRUE(per_env->child(0)->Equals(Var("Employees")));
+  ASSERT_EQ(per_env->sub()->kind(), OpKind::kCross);
+  EXPECT_TRUE(per_env->sub()->child(0)->Equals(SetMake(Input())));
+  EXPECT_NE(Optimize(raw), nullptr);
+}
+
+TEST_F(TranslatedPlanTest, SingleVariableSelectionProbesOnBareInput) {
+  ASSERT_TRUE(
+      session_->Execute("create index emp_ssnum on Employees (ssnum)").ok());
+  ValuePtr first = *db_.store().Deref(
+      (*db_.NamedValue("Employees"))->entries()[0].value->oid());
+  const int64_t ssnum = (*first->Field("ssnum"))->as_int();
+  ExprPtr plan = Optimize(Translate(
+      "retrieve (E.name) where E.ssnum = " + std::to_string(ssnum)));
+  ASSERT_NE(plan, nullptr);
+  ExprPtr probe = Find(plan, OpKind::kIndexProbe);
+  ASSERT_NE(probe, nullptr) << plan->ToString();
+  EXPECT_EQ(probe->name(), "emp_ssnum");
+  // The probed element is the range variable itself, not a tuple around it.
+  EXPECT_EQ(probe->sub()->kind(), OpKind::kInput) << probe->ToString();
+  EXPECT_EQ(Eval(plan)->TotalCount(), 1);
 }
 
 }  // namespace
